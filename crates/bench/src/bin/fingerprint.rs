@@ -1,15 +1,17 @@
 //! Prints a bitwise fingerprint of fixed-seed runs — a refactor guardrail.
 //!
 //! Hashes every sample's `(t_s, dur_s, snr_db)` bit pattern plus the probe
-//! counters for one seeded run per strategy on `static_walker`. Two builds
-//! that print the same fingerprints produce bit-identical `RunResult`s.
+//! counters for one seeded run per strategy on `static_walker`, played
+//! through the scenario's front-end stack (`Scenario::front_end`) as every
+//! runner plays it. Two builds that print the same fingerprints produce
+//! bit-identical `RunResult`s.
 
 use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
 use mmwave_baselines::single_reactive::ReactiveConfig;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::SingleBeamReactive;
-use mmwave_sim::scenario;
+use mmwave_sim::{run_front_end, scenario};
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -27,8 +29,9 @@ fn main() {
             ))),
         };
         let sc = scenario::static_walker();
-        let mut sim = sc.simulator(42);
-        let r = sim.run_with_warmup(
+        let mut fe = sc.front_end(42).expect("library scenario builds");
+        let r = run_front_end(
+            &mut fe,
             s.as_mut(),
             sc.duration_s,
             sc.tick_period_s,

@@ -17,9 +17,12 @@
 //!                            # per member with the `replay` binary)
 //! ```
 //!
-//! Build with `--features perf-counters` to see the shared-scene cache
+//! Build with `--features telemetry` to see the shared-scene cache
 //! amortization (images built once per cell vs. traces served per UE).
+//! Without it the served-trace counters print as `n/a (telemetry off)`
+//! and the JSON omits them.
 
+use mmwave_channel::SharedSceneCounters;
 use mmwave_sim::fleet::{run_fleet, FleetConfig, FleetReport};
 
 /// Fleet size: large enough that per-pass scheduling overhead is
@@ -89,9 +92,27 @@ fn main() {
         hist.max_ns(),
         hist.count()
     );
+    let cache = &par.cache;
+    let (served, served_json) = if SharedSceneCounters::ENABLED {
+        (
+            format!(
+                "{} traces served, {} mirror ops saved",
+                cache.traces_served, cache.mirror_ops_saved
+            ),
+            format!(
+                ",\n    \"traces_served\": {},\n    \"mirror_ops_saved\": {}",
+                cache.traces_served, cache.mirror_ops_saved
+            ),
+        )
+    } else {
+        (
+            "traces served and mirror ops saved n/a (telemetry off)".to_string(),
+            String::new(),
+        )
+    };
     println!(
-        "shared-scene cache: {} images built, {} traces served, {} mirror ops saved",
-        par.cache.images_built, par.cache.traces_served, par.cache.mirror_ops_saved
+        "shared-scene cache: {} images built, {served}",
+        cache.images_built
     );
 
     let best = par.ue_slots_per_s().max(seq.ue_slots_per_s());
@@ -101,7 +122,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"fleet\",\n  \"scenario\": \"{}\",\n  \"strategy\": \"{}\",\n  \"mode\": \"{}\",\n  \"profile\": \"{}\",\n  \"n_ues\": {},\n  \"workers\": {},\n  \"digest\": \"{:016x}\",\n  \"digest_matches_sequential\": true,\n  \"ue_slots_per_sec\": {:.0},\n  \"ue_slots_per_sec_sequential\": {:.0},\n  \"data_slots\": {},\n  \"passes\": {},\n  \"mean_reliability\": {:.6},\n  \"pass_latency_ns\": {{\n    \"p50\": {},\n    \"p90\": {},\n    \"p99\": {},\n    \"max\": {},\n    \"count\": {}\n  }},\n  \"shared_scene_cache\": {{\n    \"images_built\": {},\n    \"traces_served\": {},\n    \"mirror_ops_saved\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"fleet\",\n  \"scenario\": \"{}\",\n  \"strategy\": \"{}\",\n  \"mode\": \"{}\",\n  \"profile\": \"{}\",\n  \"n_ues\": {},\n  \"workers\": {},\n  \"digest\": \"{:016x}\",\n  \"digest_matches_sequential\": true,\n  \"ue_slots_per_sec\": {:.0},\n  \"ue_slots_per_sec_sequential\": {:.0},\n  \"data_slots\": {},\n  \"passes\": {},\n  \"mean_reliability\": {:.6},\n  \"pass_latency_ns\": {{\n    \"p50\": {},\n    \"p90\": {},\n    \"p99\": {},\n    \"max\": {},\n    \"count\": {}\n  }},\n  \"shared_scene_cache\": {{\n    \"images_built\": {}{}\n  }}\n}}\n",
         par.scenario,
         par.strategy,
         mode,
@@ -123,9 +144,8 @@ fn main() {
         hist.percentile_ns(99.0),
         hist.max_ns(),
         hist.count(),
-        par.cache.images_built,
-        par.cache.traces_served,
-        par.cache.mirror_ops_saved
+        cache.images_built,
+        served_json
     );
     mmwave_bench::figures::write_csv("BENCH_fleet.json", &json).expect("write artifact");
 }

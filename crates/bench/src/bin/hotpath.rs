@@ -2,11 +2,12 @@
 //!
 //! Replays the `static_walker` scenario (the paper's Fig. 16 workload)
 //! under the single-beam reactive baseline and the full mmReliable stack,
-//! measures simulated slots per second, and compares against the recorded
-//! pre-refactor baseline (the allocating `channel_at`-per-consumer
-//! dataflow, measured on the same scenario before the `SlotWorkspace` /
-//! `ChannelSnapshot` refactor landed). Writes the comparison to
-//! `results/BENCH_hotpath.json`.
+//! each through the scenario's front-end stack (`Scenario::front_end`) as
+//! every runner plays it, and reports the absolute slots per second of each, best of the
+//! repetitions. Writes the numbers to `results/BENCH_hotpath.json`. The
+//! numbers describe this code on this host; compare them only with runs
+//! on the same machine (`mmbench compare` enforces that for the
+//! repository benchmark).
 //!
 //! Usage:
 //!
@@ -15,40 +16,24 @@
 //! hotpath --test     # CI smoke mode: 1 repetition, same JSON artifact
 //! ```
 //!
-//! Build with `--features perf-counters` to include snapshot
-//! rebuild/reuse counters in the artifact.
+//! Build with `--features telemetry` to include the per-run counters
+//! (snapshot rebuild/reuse, SNR evaluations). Without it they print as
+//! `n/a (telemetry off)` and the JSON omits them.
 
 use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
 use mmwave_baselines::single_reactive::ReactiveConfig;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_baselines::SingleBeamReactive;
-use mmwave_sim::{scenario, RunCounters};
+use mmwave_sim::{run_front_end, scenario, RunCounters};
 use std::time::Instant;
 
-/// Pre-refactor slots/sec on `static_walker`, release build, measured on
-/// the commit immediately before the zero-allocation hot path landed
-/// (per-slot `channel_at` at every consumer + allocating csi/steering
-/// kernels). Before/after were measured contemporaneously — interleaved
-/// best-of rounds of the old and new binaries on the same single-core
-/// container — so both sides see the same thermal/throttling state.
-///
-/// The two workloads stress different layers: the reactive baseline is
-/// data-plane bound (the per-slot snapshot/CSI path this refactor
-/// targets, ~6x), while mmReliable's wall time is dominated by
-/// super-resolution grid-search trig inside its maintenance ticks, which
-/// bit-identity forbids restructuring — its speedup comes only from the
-/// shared slot path, scratch reuse, and cross-crate LTO (~1.4x).
-const BASELINE_SLOTS_PER_SEC: [(&str, f64); 2] = [
-    ("single-beam reactive", 110_716.0),
-    ("mmReliable", 18_132.0),
-];
+const STRATEGIES: [&str; 2] = ["single-beam reactive", "mmReliable"];
 
 struct Measurement {
     name: &'static str,
     slots: usize,
     best_slots_per_sec: f64,
-    baseline_slots_per_sec: f64,
     counters: RunCounters,
 }
 
@@ -62,16 +47,17 @@ fn make_strategy(name: &str) -> Box<dyn BeamStrategy> {
     }
 }
 
-fn measure(name: &'static str, baseline: f64, reps: usize) -> Measurement {
+fn measure(name: &'static str, reps: usize) -> Measurement {
     let mut best = 0.0f64;
     let mut slots = 0;
     let mut counters = RunCounters::default();
     for _ in 0..reps {
         let sc = scenario::static_walker();
-        let mut sim = sc.simulator(42);
+        let mut fe = sc.front_end(42).expect("library scenario builds");
         let mut s = make_strategy(name);
         let t0 = Instant::now();
-        let r = sim.run_with_warmup(
+        let r = run_front_end(
+            &mut fe,
             s.as_mut(),
             sc.duration_s,
             sc.tick_period_s,
@@ -87,16 +73,23 @@ fn measure(name: &'static str, baseline: f64, reps: usize) -> Measurement {
         name,
         slots,
         best_slots_per_sec: best,
-        baseline_slots_per_sec: baseline,
         counters,
     }
 }
 
+/// The counters as one human-readable line.
+fn counters_line(c: &RunCounters) -> String {
+    if !RunCounters::ENABLED {
+        return "n/a (telemetry off)".to_string();
+    }
+    format!(
+        "{} data slots, {} ticks, {} snapshot rebuilds, {} reuses, {} SNR evals",
+        c.data_slots, c.ticks, c.snapshot_rebuilds, c.snapshot_reuses, c.snr_evals
+    )
+}
+
 fn json_entry(m: &Measurement) -> String {
-    let speedup = m.best_slots_per_sec / m.baseline_slots_per_sec;
-    let counters = if m.counters == RunCounters::default() {
-        String::new()
-    } else {
+    let counters = if RunCounters::ENABLED {
         format!(
             r#",
       "counters": {{
@@ -112,16 +105,16 @@ fn json_entry(m: &Measurement) -> String {
             m.counters.snapshot_reuses,
             m.counters.snr_evals
         )
+    } else {
+        String::new()
     };
     format!(
         r#"    {{
       "strategy": "{}",
       "slots": {},
-      "slots_per_sec_before": {:.0},
-      "slots_per_sec_after": {:.0},
-      "speedup": {:.2}{}
+      "slots_per_sec": {:.0}{}
     }}"#,
-        m.name, m.slots, m.baseline_slots_per_sec, m.best_slots_per_sec, speedup, counters
+        m.name, m.slots, m.best_slots_per_sec, counters
     )
 }
 
@@ -131,21 +124,20 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
 
     let mut entries = Vec::new();
-    for (name, baseline) in BASELINE_SLOTS_PER_SEC {
-        let m = measure(name, baseline, reps);
+    for name in STRATEGIES {
+        let m = measure(name, reps);
         println!(
-            "{}: {} slots, {:.0} slots/sec (before: {:.0}, speedup {:.2}x)",
+            "{}: {} slots, {:.0} slots/sec; counters: {}",
             m.name,
             m.slots,
             m.best_slots_per_sec,
-            m.baseline_slots_per_sec,
-            m.best_slots_per_sec / m.baseline_slots_per_sec
+            counters_line(&m.counters)
         );
         entries.push(json_entry(&m));
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"scenario\": \"static_walker\",\n  \"mode\": \"{}\",\n  \"profile\": \"{}\",\n  \"notes\": \"before/after measured contemporaneously (interleaved best-of rounds on one machine); reactive is data-plane (per-slot) bound, mmReliable is tick-compute (super-resolution grid-search trig) bound\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"scenario\": \"static_walker\",\n  \"mode\": \"{}\",\n  \"profile\": \"{}\",\n  \"notes\": \"absolute best-of-N slots/s on the recording host; reactive is data-plane (per-slot) bound, mmReliable is tick-compute (super-resolution grid-search trig) bound\",\n  \"results\": [\n{}\n  ]\n}}\n",
         mode,
         if cfg!(debug_assertions) {
             "debug"

@@ -15,13 +15,13 @@
 //! [`crate::environment::Scene::paths_to_into`] trace. A fleet of size 1
 //! therefore reproduces the single-link pipeline exactly.
 //!
-//! Amortization is observable: with the `perf-counters` feature the cache
+//! Amortization is observable: with the `telemetry` feature the cache
 //! counts the traces it served and the mirror evaluations those traces
 //! skipped (shared, monotonic atomics — reads never perturb results).
 
 use crate::environment::Scene;
 use crate::geom2d::Vec2;
-#[cfg(feature = "perf-counters")]
+#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Precomputed UE-independent ray-trace geometry for one [`Scene`],
@@ -31,12 +31,13 @@ pub struct SharedSceneCache {
     /// Per-wall gNB image, in scene wall order.
     images: Vec<Vec2>,
     /// Traces served from this cache (perf observability only).
-    #[cfg(feature = "perf-counters")]
+    #[cfg(feature = "telemetry")]
     traces_served: AtomicU64,
 }
 
-/// A snapshot of the cache's amortization counters. All zero without the
-/// `perf-counters` feature.
+/// A snapshot of the cache's amortization counters. The served-trace
+/// counts stay zero without the `telemetry` feature; check
+/// [`SharedSceneCounters::ENABLED`] before reporting them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SharedSceneCounters {
     /// gNB wall images precomputed at build time (once per cell).
@@ -46,6 +47,13 @@ pub struct SharedSceneCounters {
     /// Mirror evaluations the cache absorbed: every served trace would
     /// have recomputed each wall image.
     pub mirror_ops_saved: u64,
+}
+
+impl SharedSceneCounters {
+    /// True when the served-trace counters are compiled in (the
+    /// `telemetry` feature). When false, `traces_served` and
+    /// `mirror_ops_saved` are absent, not zero.
+    pub const ENABLED: bool = cfg!(feature = "telemetry");
 }
 
 impl SharedSceneCache {
@@ -60,7 +68,7 @@ impl SharedSceneCache {
                 .iter()
                 .map(|w| w.seg.mirror(scene.gnb))
                 .collect(),
-            #[cfg(feature = "perf-counters")]
+            #[cfg(feature = "telemetry")]
             traces_served: AtomicU64::new(0),
         }
     }
@@ -82,18 +90,18 @@ impl SharedSceneCache {
     }
 
     /// Accounts one trace served from the cache. Compiled away without
-    /// `perf-counters`.
+    /// `telemetry`.
     #[inline]
     pub fn note_trace(&self) {
-        #[cfg(feature = "perf-counters")]
+        #[cfg(feature = "telemetry")]
         self.traces_served.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current amortization counters.
     pub fn counters(&self) -> SharedSceneCounters {
-        #[cfg(feature = "perf-counters")]
+        #[cfg(feature = "telemetry")]
         let served = self.traces_served.load(Ordering::Relaxed);
-        #[cfg(not(feature = "perf-counters"))]
+        #[cfg(not(feature = "telemetry"))]
         let served = 0u64;
         SharedSceneCounters {
             images_built: self.images.len() as u64,
@@ -158,7 +166,7 @@ mod tests {
         assert_eq!(plain, cached);
     }
 
-    #[cfg(feature = "perf-counters")]
+    #[cfg(feature = "telemetry")]
     #[test]
     fn counters_track_served_traces() {
         let scene = Scene::conference_room(FC_28GHZ);

@@ -48,11 +48,12 @@
 //! key alone, and the supervisor machinery (tokens, watchdog, journal)
 //! never perturbs a run that completes.
 
-use crate::faults::{FaultInjector, FaultSchedule};
-use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig};
+use crate::faults::FaultSchedule;
+use crate::impairments::ImpairmentConfig;
 use crate::metrics::RunResult;
 use crate::runner::panic_msg;
 use crate::scenario::{self, Scenario};
+use crate::simulator::{run_front_end, SimFrontEnd};
 use mmreliable::cancel::{is_cancel_unwind, CancelToken, CancelUnwind};
 use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
@@ -380,20 +381,18 @@ where
 /// unwind boundary) — chaos tests inject panics and hangs here.
 pub type PreRunHook = Arc<dyn Fn(&CellKey, u32) + Send + Sync>;
 
-/// The observability feature set this binary was compiled with, as a
-/// canonical comma-joined string. Recorded on every journal entry so a
+/// The observability feature set this binary was compiled with:
+/// `"telemetry"` or empty (journals from older binaries may carry a
+/// comma-joined list). Recorded on every journal entry so a
 /// replay binary built with a different feature set can flag that
 /// counters/latency differ while the simulation payload stays
 /// bit-identical (neither is part of the digest).
 pub fn compiled_features() -> String {
-    let mut f: Vec<&str> = Vec::new();
-    if cfg!(feature = "perf-counters") {
-        f.push("perf-counters");
-    }
     if cfg!(feature = "telemetry") {
-        f.push("telemetry");
+        "telemetry".to_string()
+    } else {
+        String::new()
     }
-    f.join(",")
 }
 
 /// Telemetry capture policy for a campaign. Requires the `telemetry`
@@ -1149,8 +1148,8 @@ fn execute_cell(
     }
 }
 
-/// Builds the front-end stack for one cell and plays it. The zero-fault
-/// path drives the bare simulator, preserving bit-identity with
+/// Builds the front-end stack for one cell and plays it. Inert stages
+/// forward untouched, so a clean cell stays bit-identical to
 /// [`crate::runner::run_many`].
 fn run_setup(
     setup: JobSetup,
@@ -1162,58 +1161,21 @@ fn run_setup(
         scenario: sc,
         mut strategy,
     } = setup;
-    let mut sim = sc.simulator(key.seed);
-    sim.set_cancel_token(token);
+    let mut fe = sc.front_end(key.seed).map_err(|e| e.to_string())?;
+    fe.sim_mut().set_cancel_token(token);
     if let Some(t) = tracer {
         // The run loop clones the simulator's tracer into the strategy
         // stack, so this one installation covers every layer.
-        sim.set_tracer(t);
+        fe.sim_mut().set_tracer(t);
     }
-    let result = match (sc.fault.is_inert(), sc.impairment.is_inert()) {
-        (true, true) => sim.run_with_warmup(
-            strategy.as_mut(),
-            sc.duration_s,
-            sc.tick_period_s,
-            sc.name,
-            sc.warmup_s,
-        ),
-        (false, true) => {
-            let mut fe = FaultInjector::new(sim, sc.fault.clone()).map_err(|e| e.to_string())?;
-            fe.run_with_warmup(
-                strategy.as_mut(),
-                sc.duration_s,
-                sc.tick_period_s,
-                sc.name,
-                sc.warmup_s,
-            )
-        }
-        (true, false) => {
-            let mut fe =
-                ImpairedFrontEnd::new(sim, sc.impairment.clone()).map_err(|e| e.to_string())?;
-            fe.run_with_warmup(
-                strategy.as_mut(),
-                sc.duration_s,
-                sc.tick_period_s,
-                sc.name,
-                sc.warmup_s,
-            )
-        }
-        // Impairments sit nearest the hardware; faults wrap them so a
-        // probe-loss window suppresses the impaired observation wholesale.
-        (false, false) => {
-            let impaired =
-                ImpairedFrontEnd::new(sim, sc.impairment.clone()).map_err(|e| e.to_string())?;
-            let mut fe =
-                FaultInjector::new(impaired, sc.fault.clone()).map_err(|e| e.to_string())?;
-            fe.run_with_warmup(
-                strategy.as_mut(),
-                sc.duration_s,
-                sc.tick_period_s,
-                sc.name,
-                sc.warmup_s,
-            )
-        }
-    };
+    let result = run_front_end(
+        &mut fe,
+        strategy.as_mut(),
+        sc.duration_s,
+        sc.tick_period_s,
+        sc.name,
+        sc.warmup_s,
+    );
     result.validate()?;
     Ok(result)
 }
@@ -1715,7 +1677,7 @@ mod tests {
             tick_budget: Some(400),
             reliability: 0.97125,
             message: String::new(),
-            features: "perf-counters,telemetry".into(),
+            features: "telemetry".into(),
             impairment: "seed=3;pn=200000@0.001".into(),
         };
         let parsed = JournalEntry::parse(&e.to_json()).expect("parses");

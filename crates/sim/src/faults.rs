@@ -23,13 +23,11 @@
 //! loop drains them into the per-run [`crate::metrics::RunResult`] event
 //! log next to the controller's lifecycle transitions.
 
-use crate::metrics::RunResult;
 use crate::scenario::ScenarioError;
-use crate::simulator::{run_front_end, LinkSimulator, SimFrontEnd};
+use crate::simulator::{LinkSimulator, SimFrontEnd};
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
-use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::pow_from_db;
@@ -489,11 +487,29 @@ impl<F: LinkFrontEnd> LinkFrontEnd for FaultInjector<F> {
     }
 
     fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
+        // Zero-fault transparency: forward untouched, consult no RNG.
+        if self.schedule.is_inert() {
+            return self.inner.probe_kind(weights, kind);
+        }
         let t_s = self.inner.now_s();
         self.log_static_faults(t_s);
         let radiated = self.faulted_weights(weights);
         let obs = self.inner.probe_kind(&radiated, kind);
         self.corrupt(obs, t_s)
+    }
+
+    fn probe_kind_into(
+        &mut self,
+        weights: &BeamWeights,
+        kind: ProbeKind,
+        out: &mut ProbeObservation,
+    ) {
+        // The inert stage keeps the inner front end's allocation-free path.
+        if self.schedule.is_inert() {
+            self.inner.probe_kind_into(weights, kind, out);
+        } else {
+            *out = self.probe_kind(weights, kind);
+        }
     }
 
     fn wait(&mut self, dur_s: f64) {
@@ -543,46 +559,6 @@ impl<F: SimFrontEnd> SimFrontEnd for FaultInjector<F> {
     }
 }
 
-impl<F: SimFrontEnd> FaultInjector<F> {
-    /// Plays `strategy` through the faulted stack — the fault-layer
-    /// counterpart of [`LinkSimulator::run`].
-    pub fn run(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            0.0,
-        )
-    }
-
-    /// Faulted counterpart of [`LinkSimulator::run_with_warmup`].
-    pub fn run_with_warmup(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-        warmup_s: f64,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            warmup_s,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,17 +585,41 @@ mod tests {
         mmwave_array::steering::single_beam(fe.geometry(), 0.0)
     }
 
+    /// Every float of an observation, as raw bits.
+    fn obs_bits(o: &ProbeObservation) -> Vec<u64> {
+        o.csi
+            .iter()
+            .flat_map(|c| [c.re, c.im])
+            .chain(o.freqs_hz.iter().copied())
+            .chain([o.noise_power_mw])
+            .map(f64::to_bits)
+            .collect()
+    }
+
     #[test]
     fn inert_schedule_is_bit_identical() {
         let mut plain = frozen_fe(7);
         let w = boresight(&plain);
         let direct: Vec<ProbeObservation> = (0..16).map(|_| plain.probe(&w)).collect();
-        let mut wrapped = FaultInjector::new(frozen_fe(7), FaultSchedule::none()).unwrap();
-        for d in &direct {
-            let o = wrapped.probe(&w);
-            assert_eq!(o.csi, d.csi, "zero-fault wrapper must be transparent");
+        // Both probe paths: the allocating one, and the write-into one the
+        // inert stage forwards to the inner front end.
+        for into in [false, true] {
+            let mut wrapped = FaultInjector::new(frozen_fe(7), FaultSchedule::none()).unwrap();
+            let mut o = ProbeObservation::empty();
+            for d in &direct {
+                if into {
+                    wrapped.probe_into(&w, &mut o);
+                } else {
+                    o = wrapped.probe(&w);
+                }
+                assert_eq!(
+                    obs_bits(&o),
+                    obs_bits(d),
+                    "zero-fault wrapper must be transparent (into: {into})"
+                );
+            }
+            assert!(wrapped.events().is_empty());
         }
-        assert!(wrapped.events().is_empty());
         assert!(FaultSchedule::none().is_inert());
     }
 

@@ -43,20 +43,17 @@ use crate::campaign::{
     build_scenario, build_strategy, compiled_features, load_journal, write_lines_atomic,
     JournalEntry, SCENARIO_NAMES, STRATEGY_NAMES,
 };
-use crate::faults::{FaultEvent, FaultInjector, FaultSchedule};
-use crate::impairments::{ImpairedFrontEnd, ImpairmentConfig, ImpairmentEvent};
+use crate::faults::FaultSchedule;
+use crate::impairments::ImpairmentConfig;
 use crate::metrics::RunResult;
-use crate::simulator::{LinkSimulator, SimFrontEnd, SlotLoop};
+use crate::scenario::FrontEndStack;
+use crate::simulator::{SimFrontEnd, SlotLoop};
 use crate::spec::{mix_fields, parse_mix_fields, MixGroup};
-use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmreliable::linkstate::LifecycleConfig;
 use mmreliable::{Intent, IntentKind, IntentQueue, Io, StateHandler, UeId};
-use mmwave_array::geometry::ArrayGeometry;
-use mmwave_array::weights::BeamWeights;
 use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_channel::{SharedSceneCache, SharedSceneCounters};
 use mmwave_hotpath::hot_path;
-use mmwave_phy::chanest::ProbeObservation;
 use mmwave_telemetry::{LatencyHist, StopWatch};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -134,132 +131,18 @@ pub fn ue_mix_specs(mix: &[MixGroup], ue: u32) -> (String, String) {
     }
 }
 
-/// A fleet lane's front-end stack: the bare simulator or the same
-/// decorator chains the single-link campaign builds, chosen per UE by the
-/// fleet mix. An enum rather than a trait object so [`SlotLoop`]'s generic
-/// stepping stays statically dispatched — the match is control flow only,
-/// so an in-fleet decorated run is bit-identical to the standalone
-/// decorated run at the same derived seed.
-// One value per lane for the whole run, so the variant size spread costs
-// nothing; boxing the decorated variants would add a pointer chase to
-// every per-slot probe instead.
-#[allow(clippy::large_enum_variant)]
-enum LaneFrontEnd {
-    Bare(LinkSimulator),
-    Faulted(FaultInjector<LinkSimulator>),
-    Impaired(ImpairedFrontEnd<LinkSimulator>),
-    Both(FaultInjector<ImpairedFrontEnd<LinkSimulator>>),
-}
-
-macro_rules! lane_delegate {
-    ($self:ident, $inner:ident => $e:expr) => {
-        match $self {
-            LaneFrontEnd::Bare($inner) => $e,
-            LaneFrontEnd::Faulted($inner) => $e,
-            LaneFrontEnd::Impaired($inner) => $e,
-            LaneFrontEnd::Both($inner) => $e,
-        }
-    };
-}
-
-impl LaneFrontEnd {
-    /// Stable annotation for the decorator stack wrapping this lane
-    /// (empty for a clean front-end) — rides on the lane's state-history
-    /// lines so an operator reading a transition tape sees which
-    /// environment produced it.
-    fn note(&self) -> &'static str {
-        match self {
-            LaneFrontEnd::Bare(_) => "",
-            LaneFrontEnd::Faulted(_) => "faulted",
-            LaneFrontEnd::Impaired(_) => "impaired",
-            LaneFrontEnd::Both(_) => "faulted+impaired",
-        }
-    }
-}
-
-impl LaneFrontEnd {
-    /// Wraps `sim` in the decorator stack the mix calls for — the same
-    /// nesting order as the campaign's `run_setup` (impairments nearest
-    /// the hardware, faults outermost).
-    fn build(
-        sim: LinkSimulator,
-        fault: FaultSchedule,
-        impairment: ImpairmentConfig,
-    ) -> Result<Self, String> {
-        Ok(match (fault.is_inert(), impairment.is_inert()) {
-            (true, true) => LaneFrontEnd::Bare(sim),
-            (false, true) => {
-                LaneFrontEnd::Faulted(FaultInjector::new(sim, fault).map_err(|e| e.to_string())?)
-            }
-            (true, false) => LaneFrontEnd::Impaired(
-                ImpairedFrontEnd::new(sim, impairment).map_err(|e| e.to_string())?,
-            ),
-            (false, false) => {
-                let impaired = ImpairedFrontEnd::new(sim, impairment).map_err(|e| e.to_string())?;
-                LaneFrontEnd::Both(FaultInjector::new(impaired, fault).map_err(|e| e.to_string())?)
-            }
-        })
-    }
-}
-
-impl LinkFrontEnd for LaneFrontEnd {
-    fn geometry(&self) -> &ArrayGeometry {
-        lane_delegate!(self, f => f.geometry())
-    }
-
-    fn probe_kind(&mut self, weights: &BeamWeights, kind: ProbeKind) -> ProbeObservation {
-        lane_delegate!(self, f => f.probe_kind(weights, kind))
-    }
-
-    fn probe_kind_into(
-        &mut self,
-        weights: &BeamWeights,
-        kind: ProbeKind,
-        out: &mut ProbeObservation,
-    ) {
-        lane_delegate!(self, f => f.probe_kind_into(weights, kind, out))
-    }
-
-    fn wait(&mut self, dur_s: f64) {
-        lane_delegate!(self, f => f.wait(dur_s))
-    }
-
-    fn now_s(&self) -> f64 {
-        lane_delegate!(self, f => f.now_s())
-    }
-
-    fn cancel_requested(&self) -> bool {
-        lane_delegate!(self, f => f.cancel_requested())
-    }
-
-    fn probes_used(&self) -> usize {
-        lane_delegate!(self, f => f.probes_used())
-    }
-}
-
-impl SimFrontEnd for LaneFrontEnd {
-    fn sim(&self) -> &LinkSimulator {
-        lane_delegate!(self, f => f.sim())
-    }
-
-    fn sim_mut(&mut self) -> &mut LinkSimulator {
-        lane_delegate!(self, f => f.sim_mut())
-    }
-
-    fn radiated_weights_into(&self, w: &BeamWeights, out: &mut BeamWeights) {
-        lane_delegate!(self, f => f.radiated_weights_into(w, out))
-    }
-
-    fn apply_radiated_faults(&self, w: &mut BeamWeights) {
-        lane_delegate!(self, f => f.apply_radiated_faults(w))
-    }
-
-    fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
-        lane_delegate!(self, f => f.drain_fault_events())
-    }
-
-    fn drain_impairment_events(&mut self) -> Vec<ImpairmentEvent> {
-        lane_delegate!(self, f => f.drain_impairment_events())
+/// Stable annotation for the stages a lane's stack actually applies
+/// (empty for a clean front end) — rides on the lane's state-history
+/// lines so an operator reading a transition tape sees which environment
+/// produced it.
+fn lane_note(fe: &FrontEndStack) -> &'static str {
+    let faulted = !fe.schedule().is_inert();
+    let impaired = !fe.inner().config().is_inert();
+    match (faulted, impaired) {
+        (false, false) => "",
+        (true, false) => "faulted",
+        (false, true) => "impaired",
+        (true, true) => "faulted+impaired",
     }
 }
 
@@ -470,7 +353,7 @@ impl FleetConfig {
 
 struct UeLane {
     ue: u32,
-    sim: LaneFrontEnd,
+    sim: FrontEndStack,
     strategy: Box<dyn BeamStrategy + Send>,
     /// `Some` until [`FleetShard::finish`] consumes it.
     sl: Option<SlotLoop>,
@@ -520,20 +403,20 @@ impl FleetShard {
         let mut lanes = Vec::with_capacity(ues.len());
         for &ue in ues {
             let seed = ue_seed(cfg.seed, ue);
-            let sc = build_scenario(&cfg.scenario, seed)
+            let mut sc = build_scenario(&cfg.scenario, seed)
                 .ok_or_else(|| format!("unknown scenario {:?}", cfg.scenario))?;
+            if let Some((fault, impairment)) = ue_mix(&cfg.mix, ue) {
+                sc.fault = fault;
+                sc.impairment = impairment;
+            }
             let mut strategy = build_strategy(&cfg.strategy)
                 .ok_or_else(|| format!("unknown strategy {:?}", cfg.strategy))?;
-            let mut raw = sc.simulator(seed);
+            let mut sim = sc.front_end(seed).map_err(|e| e.to_string())?;
             if let Some(c) = cache {
-                if c.len() == raw.dynamic.scene.walls.len() {
-                    raw.dynamic.set_shared_cache(Arc::clone(c));
+                if c.len() == sim.sim().dynamic.scene.walls.len() {
+                    sim.sim_mut().dynamic.set_shared_cache(Arc::clone(c));
                 }
             }
-            let mut sim = match ue_mix(&cfg.mix, ue) {
-                None => LaneFrontEnd::Bare(raw),
-                Some((fault, impairment)) => LaneFrontEnd::build(raw, fault, impairment)?,
-            };
             let sl = SlotLoop::new(
                 &mut sim,
                 strategy.as_mut(),
@@ -555,10 +438,10 @@ impl FleetShard {
         }
         let mut handler =
             StateHandler::new(ues.iter().map(|&u| UeId(u)), LifecycleConfig::default());
-        // Label each lane with its decorator stack so history lines say
+        // Label each lane with its active stages so history lines say
         // which environment (clean/faulted/impaired) produced the tape.
         for lane in &lanes {
-            let note = lane.sim.note();
+            let note = lane_note(&lane.sim);
             if !note.is_empty() {
                 handler.set_note(UeId(lane.ue), note);
             }
@@ -741,7 +624,8 @@ pub struct FleetReport {
     pub passes: u64,
     /// Per-UE-normalized handler-pass latency, merged across shards.
     pub pass_latency: LatencyHist,
-    /// Shared-environment cache counters (zeros unless `perf-counters`).
+    /// Shared-environment cache counters (served-trace counts are zero
+    /// unless `telemetry`; see [`SharedSceneCounters::ENABLED`]).
     pub cache: SharedSceneCounters,
     /// Wall-clock for the execution phase, nanoseconds.
     pub elapsed_ns: u64,

@@ -482,7 +482,9 @@ fn check_single_spec(spec: &ScenarioSpec, opts: &OracleOptions) -> Result<(u64, 
     }
     if spec.fault.is_inert() && spec.impairment.is_inert() {
         // Clean spec ≡ clean constructor run: build the scenario directly
-        // (no decorators, no spec machinery) and demand the same digest.
+        // and play the bare simulator (no decorators, no spec machinery).
+        // The spec path plays the full front-end stack, so this is the
+        // reference proving that the stack's inert stages are transparent.
         let clean = (|| -> Result<u64, String> {
             let sc = spec.world.build(spec.seed).map_err(|e| e.to_string())?;
             let mut strategy = crate::campaign::build_strategy(&spec.strategy)

@@ -37,14 +37,12 @@
 //! the coupling kernel runs on a fixed stack scratch.
 
 use crate::faults::FaultEvent;
-use crate::metrics::RunResult;
 use crate::scenario::ScenarioError;
-use crate::simulator::{run_front_end, LinkSimulator, SimFrontEnd};
+use crate::simulator::{LinkSimulator, SimFrontEnd};
 use mmreliable::frontend::{LinkFrontEnd, ProbeKind};
 use mmwave_array::coupling::{MutualCoupling, MAX_COUPLED_ELEMENTS};
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
-use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_dsp::adc::{quantize_clip, rail_rms};
 use mmwave_dsp::complex::Complex64;
 use mmwave_dsp::nonlinearity::RappPa;
@@ -538,7 +536,9 @@ impl<F: LinkFrontEnd> ImpairedFrontEnd<F> {
         config.validate().map_err(ScenarioError::impairment)?;
         let geom = inner.geometry();
         let n = geom.num_elements();
-        if n > MAX_COUPLED_ELEMENTS {
+        // An inert config never touches the weights, so it accepts any
+        // array the bare simulator does.
+        if !config.is_inert() && n > MAX_COUPLED_ELEMENTS {
             return Err(ScenarioError::impairment(format!(
                 "impairment layer supports at most {MAX_COUPLED_ELEMENTS} elements, got {n}"
             )));
@@ -774,6 +774,20 @@ impl<F: LinkFrontEnd> LinkFrontEnd for ImpairedFrontEnd<F> {
         self.corrupt_observation(obs, t_s)
     }
 
+    fn probe_kind_into(
+        &mut self,
+        weights: &BeamWeights,
+        kind: ProbeKind,
+        out: &mut ProbeObservation,
+    ) {
+        // The inert stage keeps the inner front end's allocation-free path.
+        if self.config.is_inert() {
+            self.inner.probe_kind_into(weights, kind, out);
+        } else {
+            *out = self.probe_kind(weights, kind);
+        }
+    }
+
     fn wait(&mut self, dur_s: f64) {
         self.inner.wait(dur_s);
     }
@@ -821,46 +835,6 @@ impl<F: SimFrontEnd> SimFrontEnd for ImpairedFrontEnd<F> {
     }
 }
 
-impl<F: SimFrontEnd> ImpairedFrontEnd<F> {
-    /// Plays `strategy` through the impaired stack — the impairment-layer
-    /// counterpart of [`LinkSimulator::run`].
-    pub fn run(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            0.0,
-        )
-    }
-
-    /// Impaired counterpart of [`LinkSimulator::run_with_warmup`].
-    pub fn run_with_warmup(
-        &mut self,
-        strategy: &mut dyn BeamStrategy,
-        duration_s: f64,
-        tick_period_s: f64,
-        scenario_name: &str,
-        warmup_s: f64,
-    ) -> RunResult {
-        run_front_end(
-            self,
-            strategy,
-            duration_s,
-            tick_period_s,
-            scenario_name,
-            warmup_s,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,17 +861,42 @@ mod tests {
         mmwave_array::steering::single_beam(fe.geometry(), 0.0)
     }
 
+    /// Every float of an observation, as raw bits.
+    fn obs_bits(o: &ProbeObservation) -> Vec<u64> {
+        o.csi
+            .iter()
+            .flat_map(|c| [c.re, c.im])
+            .chain(o.freqs_hz.iter().copied())
+            .chain([o.noise_power_mw])
+            .map(f64::to_bits)
+            .collect()
+    }
+
     #[test]
     fn inert_config_is_bit_identical() {
         let mut plain = frozen_fe(7);
         let w = boresight(&plain);
         let direct: Vec<ProbeObservation> = (0..16).map(|_| plain.probe(&w)).collect();
-        let mut wrapped = ImpairedFrontEnd::new(frozen_fe(7), ImpairmentConfig::none()).unwrap();
-        for d in &direct {
-            let o = wrapped.probe(&w);
-            assert_eq!(o.csi, d.csi, "all-off wrapper must be transparent");
+        // Both probe paths: the allocating one, and the write-into one the
+        // inert stage forwards to the inner front end.
+        for into in [false, true] {
+            let mut wrapped =
+                ImpairedFrontEnd::new(frozen_fe(7), ImpairmentConfig::none()).unwrap();
+            let mut o = ProbeObservation::empty();
+            for d in &direct {
+                if into {
+                    wrapped.probe_into(&w, &mut o);
+                } else {
+                    o = wrapped.probe(&w);
+                }
+                assert_eq!(
+                    obs_bits(&o),
+                    obs_bits(d),
+                    "all-off wrapper must be transparent (into: {into})"
+                );
+            }
+            assert!(wrapped.events().is_empty());
         }
-        assert!(wrapped.events().is_empty());
         assert!(ImpairmentConfig::none().is_inert());
     }
 

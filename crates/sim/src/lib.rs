@@ -23,6 +23,11 @@
 //!   end: oscillator phase noise, PA AM/AM + AM/PM compression,
 //!   per-element mismatch, mutual coupling, ADC quantization/clipping, and
 //!   LO leakage — all-off is bit-identical to the bare front end.
+//! - One front-end stack: [`scenario::Scenario::front_end`] composes
+//!   `FaultInjector<ImpairedFrontEnd<LinkSimulator>>` for every runner
+//!   (sweeps, campaign cells, fleet lanes). An inert stage forwards every
+//!   call to the stage below, so a clean scenario's stack is bit-identical
+//!   to the bare simulator and keeps its allocation-free probe path.
 //! - [`fleet`] — the multi-UE cell: N independent per-UE links sharing
 //!   one precomputed environment ([`mmwave_channel::SharedSceneCache`]),
 //!   their lifecycle state owned by one [`mmreliable::StateHandler`] per
@@ -50,8 +55,11 @@
 //! [`mmwave_channel::ChannelSnapshot`] is rebuilt at most once per
 //! simulated instant and read by every consumer (sounder, strategy truth
 //! observer, SNR metric). See DESIGN.md §8 for the dataflow and buffer
-//! ownership rules; enable the `perf-counters` feature to get per-run
-//! counters on [`metrics::RunResult::counters`].
+//! ownership rules. The `telemetry` feature is the one instrumentation
+//! switch: it compiles the stage spans and per-slot traces, the per-run
+//! counters on [`metrics::RunResult::counters`], and the shared scene
+//! cache's counters. Off, the counters are absent (never reported as 0)
+//! and the fingerprints are unchanged.
 
 #![warn(missing_docs)]
 pub mod campaign;

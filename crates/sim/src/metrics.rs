@@ -89,8 +89,9 @@ impl RunEvent {
 
 /// Hot-path execution counters for one run.
 ///
-/// Populated only when the `perf-counters` feature is enabled; all-zero
-/// otherwise. Counting is pure observability — enabling the feature never
+/// Populated only when the `telemetry` feature is enabled; all-zero
+/// otherwise, so readers check [`RunCounters::ENABLED`] and report them
+/// absent rather than print the zeros. Counting is pure observability — enabling the feature never
 /// changes simulation results. The interesting ratio is
 /// `snapshot_reuses : snapshot_rebuilds`: every reuse is a full channel
 /// re-evaluation (scene trace + per-path steering) that the pre-snapshot
@@ -107,6 +108,11 @@ pub struct RunCounters {
     pub snapshot_reuses: u64,
     /// Wideband true-SNR evaluations.
     pub snr_evals: u64,
+}
+
+impl RunCounters {
+    /// True when the counters are compiled in (the `telemetry` feature).
+    pub const ENABLED: bool = cfg!(feature = "telemetry");
 }
 
 /// One recorded interval of a run.
@@ -146,7 +152,7 @@ pub struct RunResult {
     /// Typed event log: every lifecycle transition the strategy reported
     /// and every fault the injection layer produced, in time order.
     pub events: Vec<RunEvent>,
-    /// Hot-path execution counters (all-zero unless the `perf-counters`
+    /// Hot-path execution counters (all-zero unless the `telemetry`
     /// feature is enabled).
     pub counters: RunCounters,
     /// Per-stage latency percentiles (p50/p95/p99/max of tick compute,

@@ -7,6 +7,7 @@
 
 use crate::metrics::RunResult;
 use crate::scenario::Scenario;
+use crate::simulator::run_front_end;
 use mmwave_baselines::strategy::BeamStrategy;
 use mmwave_dsp::stats;
 use mmwave_phy::mcs::McsTable;
@@ -130,7 +131,9 @@ pub(crate) fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Like [`run_many`], but a run that panics becomes an `Err(`[`FailedRun`]`)`
 /// in its slot instead of killing the sweep: the other runs (including
-/// those sharing the panicking run's thread) still complete.
+/// those sharing the panicking run's thread) still complete. Every run
+/// plays the scenario's [`Scenario::front_end`] stack, so its faults and
+/// impairments apply.
 ///
 /// `threads == 0` means "use every available core"
 /// (`std::thread::available_parallelism`). Seeds — and therefore results —
@@ -164,9 +167,15 @@ where
                     let seed = base_seed.wrapping_add(run_idx as u64);
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let sc = scenario_fn(seed);
-                        let mut sim = sc.simulator(seed);
+                        // Scenario builders validate their stages, so a
+                        // reject here is a bug in `scenario_fn`: it fails
+                        // this run like any other panic.
+                        let mut fe = sc
+                            .front_end(seed)
+                            .unwrap_or_else(|e| panic!("scenario front end rejected: {e}"));
                         let mut strategy = strategy_fn();
-                        sim.run_with_warmup(
+                        run_front_end(
+                            &mut fe,
                             strategy.as_mut(),
                             sc.duration_s,
                             sc.tick_period_s,

@@ -103,6 +103,9 @@ impl std::error::Error for ScenarioError {
     }
 }
 
+/// The front-end stack [`Scenario::front_end`] builds.
+pub type FrontEndStack = FaultInjector<ImpairedFrontEnd<LinkSimulator>>;
+
 /// A fully-specified experiment.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -164,28 +167,15 @@ impl Scenario {
         Ok(self)
     }
 
-    /// Instantiates the full faulted front-end stack: the seeded simulator
-    /// wrapped in a [`FaultInjector`] driving this scenario's schedule.
-    /// Campaign code that wants the zero-fault bit-identity guarantee
-    /// checks [`FaultSchedule::is_inert`] and runs the bare simulator
-    /// instead.
-    pub fn faulted_simulator(
-        &self,
-        seed: u64,
-    ) -> Result<FaultInjector<LinkSimulator>, ScenarioError> {
-        FaultInjector::new(self.simulator(seed), self.fault.clone())
-    }
-
-    /// Instantiates the impaired front-end stack: the seeded simulator
-    /// wrapped in an [`ImpairedFrontEnd`] driving this scenario's
-    /// impairment configuration. Callers that also inject faults wrap the
-    /// result in a [`FaultInjector`] (impairments sit nearest the
-    /// hardware).
-    pub fn impaired_simulator(
-        &self,
-        seed: u64,
-    ) -> Result<ImpairedFrontEnd<LinkSimulator>, ScenarioError> {
-        ImpairedFrontEnd::new(self.simulator(seed), self.impairment.clone())
+    /// Instantiates this scenario's radio: the seeded simulator under its
+    /// impairments, under its faults — the one front-end stack every
+    /// runner plays (impairments sit nearest the hardware; faults wrap
+    /// them so a probe-loss window suppresses the impaired observation
+    /// wholesale). Inert stages forward untouched, so a clean scenario's
+    /// stack is bit-identical to [`Scenario::simulator`].
+    pub fn front_end(&self, seed: u64) -> Result<FrontEndStack, ScenarioError> {
+        let impaired = ImpairedFrontEnd::new(self.simulator(seed), self.impairment.clone())?;
+        FaultInjector::new(impaired, self.fault.clone())
     }
 
     /// Total simulated time including warm-up.

@@ -164,7 +164,7 @@ impl LinkSimulator {
     }
 
     /// Hot-path counters accumulated so far (all-zero unless the
-    /// `perf-counters` feature is enabled). The run loop resets them at
+    /// `telemetry` feature is enabled). The run loop resets them at
     /// the start of every run and copies them into the returned
     /// [`RunResult`].
     pub fn counters(&self) -> &RunCounters {
@@ -180,7 +180,7 @@ impl LinkSimulator {
     #[hot_path]
     pub fn refresh_snapshot(&mut self) {
         if self.ws.snapshot.is_valid_at(self.t_s) {
-            #[cfg(feature = "perf-counters")]
+            #[cfg(feature = "telemetry")]
             {
                 self.counters.snapshot_reuses += 1;
             }
@@ -189,7 +189,7 @@ impl LinkSimulator {
         self.ws
             .snapshot
             .rebuild(&self.dynamic, &self.geom, &self.rx, self.t_s);
-        #[cfg(feature = "perf-counters")]
+        #[cfg(feature = "telemetry")]
         {
             self.counters.snapshot_rebuilds += 1;
         }
@@ -212,7 +212,7 @@ impl LinkSimulator {
     #[hot_path]
     pub fn true_snr_db(&mut self, weights: &BeamWeights) -> f64 {
         self.refresh_snapshot();
-        #[cfg(feature = "perf-counters")]
+        #[cfg(feature = "telemetry")]
         {
             self.counters.snr_evals += 1;
         }
@@ -469,7 +469,7 @@ impl SlotLoop {
             if h.sim().t_s >= self.next_tick {
                 h.sim().cancel.note_tick();
                 strategy.observe_truth(h.sim_mut().channel_now());
-                #[cfg(feature = "perf-counters")]
+                #[cfg(feature = "telemetry")]
                 {
                     h.sim_mut().counters.ticks += 1;
                 }
@@ -536,7 +536,7 @@ impl SlotLoop {
             #[cfg(feature = "telemetry")]
             self.tracer
                 .end(clock, mmwave_telemetry::Stage::DataSlot, h.sim().t_s);
-            #[cfg(feature = "perf-counters")]
+            #[cfg(feature = "telemetry")]
             {
                 h.sim_mut().counters.data_slots += 1;
             }

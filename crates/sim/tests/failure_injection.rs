@@ -7,9 +7,10 @@ use mmreliable::controller::MmReliableController;
 use mmreliable::linkstate::is_legal_transition;
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_channel::blockage::{BlockageEvent, BlockageProcess};
-use mmwave_sim::faults::{FaultInjector, FaultKind, FaultSchedule, ProbeLossWindow};
+use mmwave_sim::faults::{FaultKind, FaultSchedule, ProbeLossWindow};
 use mmwave_sim::metrics::RunResult;
 use mmwave_sim::scenario::{self, Scenario};
+use mmwave_sim::simulator::run_front_end;
 
 fn mmreliable() -> Box<dyn BeamStrategy> {
     Box::new(MmReliableStrategy::new(MmReliableController::new(
@@ -30,9 +31,11 @@ fn run(sc: &Scenario, seed: u64) -> RunResult {
 }
 
 fn run_faulted(sc: &Scenario, seed: u64, sched: FaultSchedule) -> RunResult {
-    let mut fe = FaultInjector::new(sc.simulator(seed), sched).expect("valid fault schedule");
+    let sc = sc.clone().with_faults(sched).expect("valid fault schedule");
+    let mut fe = sc.front_end(seed).expect("front end builds");
     let mut s = mmreliable();
-    fe.run_with_warmup(
+    run_front_end(
+        &mut fe,
         s.as_mut(),
         sc.duration_s,
         sc.tick_period_s,

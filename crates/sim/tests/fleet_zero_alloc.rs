@@ -11,8 +11,10 @@
 //! `SlotLoop` samples, the `IntentQueue`/`StateHandler` scratch swap, and
 //! the fixed-bucket pass-latency histogram.
 //!
-//! Lives in its own integration-test binary so no concurrently running
-//! test can touch the process-global counter mid-measurement.
+//! Every lane is the full `FaultInjector<ImpairedFrontEnd<LinkSimulator>>`
+//! stack with inert stages, so this also pins that inert stages forward
+//! the allocation-free probe path. The counter is per thread; the shard is
+//! stepped inline on the test's own thread.
 
 use mmwave_channel::SharedSceneCache;
 use mmwave_dsp::count_alloc::{allocation_count, CountingAllocator};

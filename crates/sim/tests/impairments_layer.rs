@@ -15,9 +15,9 @@ use mmreliable::linkstate::{
 use mmwave_baselines::strategy::{BeamStrategy, MmReliableStrategy};
 use mmwave_dsp::phase_noise::WienerPhase;
 use mmwave_dsp::rng::Rng64;
-use mmwave_sim::impairments::ImpairedFrontEnd;
 use mmwave_sim::metrics::RunResult;
 use mmwave_sim::scenario::{self, Scenario};
+use mmwave_sim::simulator::run_front_end;
 use mmwave_sim::ImpairmentConfig;
 use proptest::prelude::*;
 
@@ -40,9 +40,14 @@ fn run(sc: &Scenario, seed: u64) -> RunResult {
 }
 
 fn run_impaired(sc: &Scenario, seed: u64, cfg: ImpairmentConfig) -> RunResult {
-    let mut fe = ImpairedFrontEnd::new(sc.simulator(seed), cfg).expect("valid impairment config");
+    let sc = sc
+        .clone()
+        .with_impairments(cfg)
+        .expect("valid impairment config");
+    let mut fe = sc.front_end(seed).expect("front end builds");
     let mut s = mmreliable();
-    fe.run_with_warmup(
+    run_front_end(
+        &mut fe,
         s.as_mut(),
         sc.duration_s,
         sc.tick_period_s,

@@ -9,8 +9,9 @@
 //! the data plane runs entirely out of [`SlotWorkspace`] and the run loop's
 //! reusable weight scratch.
 //!
-//! Lives in its own integration-test binary so no concurrently running test
-//! can touch the process-global counter mid-measurement.
+//! The counter is per thread, so the tests here run in parallel under the
+//! default harness without seeing each other's allocations. Each test
+//! drives its hot loop on its own thread, the one that reads the counter.
 
 use mmwave_array::geometry::ArrayGeometry;
 use mmwave_array::weights::BeamWeights;
@@ -26,7 +27,7 @@ use mmwave_dsp::count_alloc::{allocation_count, CountingAllocator};
 use mmwave_dsp::rng::Rng64;
 use mmwave_dsp::units::FC_28GHZ;
 use mmwave_phy::chanest::ChannelSounder;
-use mmwave_sim::simulator::{LinkSimulator, SimFrontEnd};
+use mmwave_sim::simulator::{run_front_end, LinkSimulator, SimFrontEnd};
 
 use mmreliable::frontend::LinkFrontEnd;
 
@@ -110,7 +111,7 @@ fn impaired_steady_state_slots_do_not_allocate() {
     let mut strategy = SingleBeamReactive::new(Default::default());
     // Warm-up: train the beam and grow every scratch buffer, probe path
     // included, to its steady-state high-water mark.
-    let _ = fe.run(&mut strategy, 0.05, 20e-3, "warmup");
+    let _ = run_front_end(&mut fe, &mut strategy, 0.05, 20e-3, "warmup", 0.0);
 
     let n = fe.sim().geom.num_elements();
     let mut w_data = BeamWeights::muted(n);

@@ -27,8 +27,8 @@
 //!
 //! The crate has no dependencies and its types are always available;
 //! downstream crates gate only the *instrumentation call sites* behind
-//! their `telemetry` cargo feature, mirroring the `perf-counters`
-//! convention.
+//! their `telemetry` cargo feature, the workspace's one instrumentation
+//! switch (it also compiles the run and scene-cache counters).
 
 pub mod chrome;
 pub mod hist;

@@ -5,8 +5,8 @@
 //! cargo run --release --example fault_injection [loss_prob]
 //! ```
 //!
-//! Wraps the standard static-walker blockage scenario in a
-//! [`FaultInjector`]: a probe-loss storm erases a fraction of CSI reports
+//! Attaches a fault schedule to the standard static-walker blockage
+//! scenario and plays its front-end stack: a probe-loss storm erases a fraction of CSI reports
 //! and two array elements are dead for the whole run. The controller's
 //! lifecycle state machine has to ride through both — bounded re-train
 //! scans, degraded-mode fallback, no panic — and every state transition
@@ -16,7 +16,7 @@ use mmreliable::config::MmReliableConfig;
 use mmreliable::controller::MmReliableController;
 use mmwave_baselines::strategy::MmReliableStrategy;
 use mmwave_sim::scenario;
-use mmwave_sim::{FaultInjector, FaultSchedule, ProbeLossWindow};
+use mmwave_sim::{run_front_end, FaultSchedule, ProbeLossWindow};
 
 fn main() {
     let loss_prob: f64 = std::env::args()
@@ -40,11 +40,16 @@ fn main() {
         100.0 * loss_prob
     );
 
-    let mut fe = FaultInjector::new(sc.simulator(17), schedule)
+    let sc = sc
+        .with_faults(schedule)
         .unwrap_or_else(|e| panic!("valid fault schedule: {e}"));
+    let mut fe = sc
+        .front_end(17)
+        .unwrap_or_else(|e| panic!("front end builds: {e}"));
     let mut strategy =
         MmReliableStrategy::new(MmReliableController::new(MmReliableConfig::paper_default()));
-    let result = fe.run_with_warmup(
+    let result = run_front_end(
+        &mut fe,
         &mut strategy,
         sc.duration_s,
         sc.tick_period_s,
