@@ -137,7 +137,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"scenario\": \"static_walker\",\n  \"mode\": \"{}\",\n  \"profile\": \"{}\",\n  \"notes\": \"absolute best-of-N slots/s on the recording host; reactive is data-plane (per-slot) bound, mmReliable is tick-compute (super-resolution grid-search trig) bound\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"scenario\": \"static_walker\",\n  \"mode\": \"{}\",\n  \"profile\": \"{}\",\n  \"notes\": \"absolute best-of-N slots/s on the recording host; reactive is data-plane (per-slot) bound, mmReliable is tick-compute (probing, training and super-resolution fits) bound\",\n  \"results\": [\n{}\n  ]\n}}\n",
         mode,
         if cfg!(debug_assertions) {
             "debug"

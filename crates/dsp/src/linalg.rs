@@ -2,12 +2,15 @@
 //!
 //! Small, direct implementations sized for this workspace's problems: the
 //! super-resolution solve (Eq. 23 of the paper) involves a dictionary with
-//! K ≤ 4 columns, and the optimal-beamforming oracle works with N ≤ 256
-//! element channels. Provides:
+//! one column per beam, and the optimal-beamforming oracle works with
+//! N ≤ 256 element channels. Provides:
 //!
 //! - [`CMatrix`] — row-major dense complex matrix with the usual products,
 //! - [`solve`] — Gaussian elimination with partial pivoting,
 //! - [`cholesky_solve`] — for Hermitian positive-definite systems,
+//! - [`lu_factor_in_place`] / [`cholesky_factor_in_place`] and their
+//!   `*_substitute` halves — the same two solvers split so that one
+//!   factor serves many right-hand sides without allocating,
 //! - [`ridge_least_squares`] — `argmin ‖Ax − b‖² + λ‖x‖²` via the normal
 //!   equations (exactly the paper's regularized formulation).
 
@@ -23,7 +26,6 @@ pub struct CMatrix {
 
 impl CMatrix {
     /// Creates a zero matrix.
-    // xtask-allow(hot-path-closure): constructor allocates by definition; steady-state reuses FitScratch/reset() buffers, only amortized tick-path solves construct (ROADMAP item 1)
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
@@ -168,7 +170,6 @@ impl CMatrix {
     /// Same single-pass layout as [`CMatrix::gram`]: one accumulator per
     /// output entry, each summing in row order — bit-identical to the
     /// column-at-a-time evaluation.
-    // xtask-allow(hot-path-closure): returns an owned K-vector (K ≤ 4) from the amortized tick-path fit; not called per slot (ROADMAP item 1)
     pub fn hermitian_mul_vec(&self, b: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(b.len(), self.rows, "dimension mismatch");
         let mut acc = vec![Complex64::ZERO; self.cols];
@@ -225,74 +226,130 @@ impl std::fmt::Display for LinalgError {
 impl std::error::Error for LinalgError {}
 
 /// Solves `A·x = b` by Gaussian elimination with partial pivoting.
-// xtask-allow(hot-path-panic): every index is bounded by the n×n dimension check at entry (bad dims return Err); the pivot expect scans the non-empty range col..n
-// xtask-allow(hot-path-closure): the solver owns its working copy (clone + rhs vec) by design; reached only from amortized tick-path fits, not the per-slot loop (ROADMAP item 1)
 pub fn solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, LinalgError> {
     let n = a.rows();
     if a.cols() != n || b.len() != n {
         return Err(LinalgError::DimensionMismatch);
     }
-    let mut m = a.clone();
-    let mut rhs = b.to_vec();
+    let mut lu = a.data.clone();
+    let mut piv = vec![0; n];
+    lu_factor_in_place(&mut lu, n, &mut piv)?;
+    let mut x = vec![Complex64::ZERO; n];
+    lu_substitute(&lu, n, &piv, b, &mut x);
+    Ok(x)
+}
+
+/// Factors the row-major `n×n` matrix `a` in place as `P·A = L·U`
+/// (Gaussian elimination with partial pivoting): `U` takes the upper
+/// triangle, the unit-lower `L` multipliers the strict lower triangle, and
+/// `piv[c]` records the row swapped into position `c`. Fails with
+/// [`LinalgError::Singular`] when a pivot's magnitude is below 1e-14.
+///
+/// [`solve`] is this factor followed by [`lu_substitute`], so factoring
+/// once and substituting per right-hand side gives `solve`'s bits.
+pub fn lu_factor_in_place(
+    a: &mut [Complex64],
+    n: usize,
+    piv: &mut [usize],
+) -> Result<(), LinalgError> {
+    debug_assert!(a.len() == n * n && piv.len() == n);
     for col in 0..n {
-        // Partial pivot: pick the row with the largest magnitude in this column.
-        let (pivot_row, pivot_mag) = (col..n)
-            .map(|r| (r, m[(r, col)].abs()))
-            .max_by(|x, y| x.1.total_cmp(&y.1))
-            .expect("non-empty range");
+        // Partial pivot: the row with the largest magnitude in this column
+        // (the last one on a tie, as `Iterator::max_by` picks).
+        let (mut pivot_row, mut pivot_mag) = (col, a[col * n + col].abs());
+        for r in col + 1..n {
+            let mag = a[r * n + col].abs();
+            if mag.total_cmp(&pivot_mag).is_ge() {
+                (pivot_row, pivot_mag) = (r, mag);
+            }
+        }
         if pivot_mag < 1e-14 {
             return Err(LinalgError::Singular);
         }
+        piv[col] = pivot_row;
         if pivot_row != col {
             for j in 0..n {
-                let tmp = m[(col, j)];
-                m[(col, j)] = m[(pivot_row, j)];
-                m[(pivot_row, j)] = tmp;
+                a.swap(col * n + j, pivot_row * n + j);
             }
-            rhs.swap(col, pivot_row);
         }
-        let inv_piv = m[(col, col)].inv();
+        let inv_piv = a[col * n + col].inv();
         for r in col + 1..n {
-            let factor = m[(r, col)] * inv_piv;
+            let factor = a[r * n + col] * inv_piv;
+            a[r * n + col] = factor;
             if factor == Complex64::ZERO {
                 continue;
             }
-            for j in col..n {
-                let v = m[(col, j)];
-                m[(r, j)] -= factor * v;
+            for j in col + 1..n {
+                let v = a[col * n + j];
+                a[r * n + j] -= factor * v;
             }
-            let bv = rhs[col];
-            rhs[r] -= factor * bv;
+        }
+    }
+    Ok(())
+}
+
+/// Solves `A·x = b` from the factor [`lu_factor_in_place`] left in `lu`.
+pub fn lu_substitute(
+    lu: &[Complex64],
+    n: usize,
+    piv: &[usize],
+    b: &[Complex64],
+    x: &mut [Complex64],
+) {
+    debug_assert!(lu.len() == n * n && piv.len() == n && b.len() == n && x.len() == n);
+    x.copy_from_slice(b);
+    // The row swaps moved the stored multipliers along with their rows, so
+    // the whole permutation goes first; each entry then sees the same
+    // updates, in the same order, as when the right-hand side is
+    // eliminated alongside the matrix.
+    for (col, &p) in piv.iter().enumerate() {
+        x.swap(col, p);
+    }
+    for col in 0..n {
+        let bv = x[col];
+        for r in col + 1..n {
+            let factor = lu[r * n + col];
+            if factor != Complex64::ZERO {
+                x[r] -= factor * bv;
+            }
         }
     }
     // Back substitution.
-    let mut x = vec![Complex64::ZERO; n];
     for i in (0..n).rev() {
-        let mut acc = rhs[i];
+        let mut acc = x[i];
         for j in i + 1..n {
-            acc -= m[(i, j)] * x[j];
+            acc -= lu[i * n + j] * x[j];
         }
-        x[i] = acc * m[(i, i)].inv();
+        x[i] = acc * lu[i * n + i].inv();
     }
-    Ok(x)
 }
 
 /// Solves `A·x = b` for Hermitian positive-definite `A` using a complex
 /// Cholesky factorization `A = L·Lᴴ`.
-// xtask-allow(hot-path-panic): every index is bounded by the n×n dimension check at entry (bad dims return Err)
-// xtask-allow(hot-path-closure): factor and solution vectors are owned by design; reached only from amortized tick-path fits, not the per-slot loop (ROADMAP item 1)
 pub fn cholesky_solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, LinalgError> {
     let n = a.rows();
     if a.cols() != n || b.len() != n {
         return Err(LinalgError::DimensionMismatch);
     }
-    // Factor.
-    let mut l = CMatrix::zeros(n, n);
+    let mut l = a.data.clone();
+    cholesky_factor_in_place(&mut l, n)?;
+    let mut x = vec![Complex64::ZERO; n];
+    cholesky_substitute(&l, n, b, &mut x);
+    Ok(x)
+}
+
+/// Factors the Hermitian positive-definite row-major `n×n` matrix `a` in
+/// place as `A = L·Lᴴ`. The lower triangle (diagonal included) becomes
+/// `L`; the strict upper triangle is left as it was and never read again.
+/// Fails with [`LinalgError::NotPositiveDefinite`] on a diagonal pivot
+/// that is not real positive.
+pub fn cholesky_factor_in_place(a: &mut [Complex64], n: usize) -> Result<(), LinalgError> {
+    debug_assert!(a.len() == n * n);
     for i in 0..n {
         for j in 0..=i {
-            let mut sum = a[(i, j)];
+            let mut sum = a[i * n + j];
             for k in 0..j {
-                sum -= l[(i, k)] * l[(j, k)].conj();
+                sum -= a[i * n + k] * a[j * n + k].conj();
             }
             if i == j {
                 // Diagonal entries of a Hermitian PD matrix are real positive.
@@ -300,31 +357,35 @@ pub fn cholesky_solve(a: &CMatrix, b: &[Complex64]) -> Result<Vec<Complex64>, Li
                 if d <= 0.0 || sum.im.abs() > 1e-9 * (1.0 + d.abs()) {
                     return Err(LinalgError::NotPositiveDefinite);
                 }
-                l[(i, j)] = Complex64::new(d.sqrt(), 0.0);
+                a[i * n + j] = Complex64::new(d.sqrt(), 0.0);
             } else {
-                l[(i, j)] = sum * l[(j, j)].inv();
+                a[i * n + j] = sum * a[j * n + j].inv();
             }
         }
     }
-    // Forward solve L·y = b.
-    let mut y = vec![Complex64::ZERO; n];
+    Ok(())
+}
+
+/// Solves `L·Lᴴ·x = b` from the factor [`cholesky_factor_in_place`] left
+/// in `l`.
+pub fn cholesky_substitute(l: &[Complex64], n: usize, b: &[Complex64], x: &mut [Complex64]) {
+    debug_assert!(l.len() == n * n && b.len() == n && x.len() == n);
+    // Forward solve L·y = b (y overwrites x).
     for i in 0..n {
         let mut acc = b[i];
         for k in 0..i {
-            acc -= l[(i, k)] * y[k];
+            acc -= l[i * n + k] * x[k];
         }
-        y[i] = acc * l[(i, i)].inv();
+        x[i] = acc * l[i * n + i].inv();
     }
     // Backward solve Lᴴ·x = y.
-    let mut x = vec![Complex64::ZERO; n];
     for i in (0..n).rev() {
-        let mut acc = y[i];
+        let mut acc = x[i];
         for k in i + 1..n {
-            acc -= l[(k, i)].conj() * x[k];
+            acc -= l[k * n + i].conj() * x[k];
         }
-        x[i] = acc * l[(i, i)].inv();
+        x[i] = acc * l[i * n + i].inv();
     }
-    Ok(x)
 }
 
 /// Ridge-regularized least squares:
@@ -447,6 +508,37 @@ mod tests {
         let x2 = solve(&g, &b).unwrap();
         for (u, v) in x1.iter().zip(&x2) {
             assert_close(*u, *v, 1e-9);
+        }
+    }
+
+    #[test]
+    fn one_factor_serves_many_right_hand_sides() {
+        let mut rng = Rng64::seed(9);
+        let n = 4;
+        let mut g = random_matrix(&mut rng, 9, n).gram();
+        for i in 0..n {
+            g[(i, i)] += c64(0.1, 0.0);
+        }
+        // A leading zero forces the LU path to pivot.
+        let mut a = random_matrix(&mut rng, n, n);
+        a[(0, 0)] = Complex64::ZERO;
+        let mut l = g.as_slice().to_vec();
+        cholesky_factor_in_place(&mut l, n).unwrap();
+        let (mut lu, mut piv) = (a.as_slice().to_vec(), vec![0; n]);
+        lu_factor_in_place(&mut lu, n, &mut piv).unwrap();
+        let mut x = vec![Complex64::ZERO; n];
+        for _ in 0..3 {
+            let b: Vec<Complex64> = (0..n).map(|_| rng.complex_normal()).collect();
+            cholesky_substitute(&l, n, &b, &mut x);
+            assert_eq!(x, cholesky_solve(&g, &b).unwrap());
+            for (u, v) in g.mul_vec(&x).iter().zip(&b) {
+                assert_close(*u, *v, 1e-9);
+            }
+            lu_substitute(&lu, n, &piv, &b, &mut x);
+            assert_eq!(x, solve(&a, &b).unwrap());
+            for (u, v) in a.mul_vec(&x).iter().zip(&b) {
+                assert_close(*u, *v, 1e-9);
+            }
         }
     }
 

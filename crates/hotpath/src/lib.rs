@@ -1,10 +1,10 @@
 //! `#[hot_path]` — the zero-allocation contract, stated at the definition.
 //!
 //! PR 2 rebuilt the steady-state slot loop around reused buffers
-//! (`SlotWorkspace`, `ChannelSnapshot`, the `*_into` kernels, the
-//! superres `FitScratch`) and proved the result allocation-free with a
-//! counting allocator (`crates/sim/tests/zero_alloc.rs`). That proof is a
-//! single end-to-end test: it tells you *that* a slot allocated, not
+//! (`SlotWorkspace`, `ChannelSnapshot`, the `*_into` kernels) and proved
+//! the result allocation-free with a counting allocator
+//! (`crates/sim/tests/zero_alloc.rs`). That proof is a single end-to-end
+//! test: it tells you *that* a slot allocated, not
 //! *where*, and it only covers the configurations the test happens to
 //! drive.
 //!
